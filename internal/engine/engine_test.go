@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,33 @@ func fastConfig(strategy string, threads int) Config {
 		Strategy:       strategy,
 		Threads:        threads,
 		CollectSamples: true,
+	}
+}
+
+// TestNewSharesDeckTracks checks that engines share the standard deck
+// tracks: once one default engine exists, another must not render them
+// again (about 90 MB of audio at the default 16 bars).
+func TestNewSharesDeckTracks(t *testing.T) {
+	cfg := Config{Graph: graph.DefaultConfig()}
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("second engine.New allocated %.1f MB, want < 16 MB", float64(got)/(1<<20))
+	}
+	if first.Session().Decks[0].Track() != second.Session().Decks[0].Track() {
+		t.Fatal("engines hold different copies of the standard deck tracks")
 	}
 }
 

@@ -35,7 +35,8 @@ type Config struct {
 	// Scale > 0.
 	Calibration Calibration
 	// Tracks provides the deck audio. Missing entries are filled with the
-	// standard synthetic tracks.
+	// standard synthetic tracks, which every session in the process
+	// shares. Decks only read a track; no code may write to one.
 	Tracks []*synth.Track
 	// TrackBars sizes the default synthetic tracks (16 bars ≈ 30 s).
 	TrackBars int
@@ -534,20 +535,13 @@ func newSession(cfg Config) *Session {
 
 	deckNames := []string{"deck-a", "deck-b", "deck-c", "deck-d"}
 	tempos := []float64{1.0, 0.97, 1.03, 0.99}
-	var defaultTracks [4]*synth.Track
-	haveDefaults := false
-
 	for d := 0; d < cfg.Decks; d++ {
 		dk := deck.New(deckNames[d], cfg.Rate)
 		var tr *synth.Track
 		if d < len(cfg.Tracks) && cfg.Tracks[d] != nil {
 			tr = cfg.Tracks[d]
 		} else {
-			if !haveDefaults {
-				defaultTracks = synth.StandardDeckTracks(cfg.TrackBars)
-				haveDefaults = true
-			}
-			tr = defaultTracks[d]
+			tr = synth.StandardDeckTracks(cfg.TrackBars)[d]
 		}
 		dk.Load(tr)
 		dk.SetLoop(0, float64(tr.Len())) // loop forever for long runs

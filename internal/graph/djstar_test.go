@@ -2,8 +2,10 @@ package graph
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"djstar/internal/audio"
 	"djstar/internal/synth"
 )
 
@@ -274,5 +276,71 @@ func TestDJStarControlNodeNames(t *testing.T) {
 	}
 	if ctrl != 16 {
 		t.Fatalf("control nodes = %d, want 16", ctrl)
+	}
+}
+
+// masterOutputs builds a session from cfg, runs it for cycles and returns
+// the master output of every cycle.
+func masterOutputs(cfg Config, cycles int) ([][]float64, error) {
+	s, g, err := BuildDJStar(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := g.Compile()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float64, cycles)
+	for c := range out {
+		s.Prepare()
+		runSequential(p)
+		m := s.MasterOut()
+		out[c] = append(append([]float64(nil), m.L...), m.R...)
+	}
+	return out, nil
+}
+
+// TestSessionsShareStandardTracks builds two sessions concurrently on the
+// process-wide standard tracks and cycles them in parallel: both must play
+// exactly what a session given freshly rendered private tracks plays.
+func TestSessionsShareStandardTracks(t *testing.T) {
+	const cycles = 200
+	cfg := DefaultConfig()
+	cfg.TrackBars = 4
+	ref := cfg
+	for _, spec := range synth.StandardDeckSpecs(cfg.TrackBars) {
+		ref.Tracks = append(ref.Tracks, synth.GenerateTrack(spec))
+	}
+	want, err := masterOutputs(ref, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audio.Buffer(want[cycles-1]).Peak() == 0 {
+		t.Fatal("reference session is silent")
+	}
+
+	var got [2][][]float64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = masterOutputs(cfg, cycles)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for c := range want {
+			for j := range want[c] {
+				if got[i][c][j] != want[c][j] {
+					t.Fatalf("session %d cycle %d sample %d: %v, want %v",
+						i, c, j, got[i][c][j], want[c][j])
+				}
+			}
+		}
 	}
 }

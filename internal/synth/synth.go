@@ -11,6 +11,7 @@ package synth
 
 import (
 	"math"
+	"sync"
 
 	"djstar/internal/audio"
 )
@@ -141,6 +142,10 @@ func (e ADSR) Level(i, gateLen int) float64 {
 }
 
 // Track is a generated stereo audio clip with tempo metadata.
+//
+// A Track is read-only once rendered: StandardDeckTracks hands the same
+// Tracks to every caller in the process, so no code may write to a shared
+// Track's Audio, LoudBars or metadata.
 type Track struct {
 	Name string
 	BPM  float64
@@ -210,6 +215,7 @@ func GenerateTrack(spec TrackSpec) *Track {
 	kickEnv := ADSR{Attack: 8, Decay: spec.Rate / 8, Sustain: 0, Release: 64}
 	bassEnv := ADSR{Attack: 32, Decay: spec.Rate / 6, Sustain: 0.3, Release: 256}
 	leadEnv := ADSR{Attack: 64, Decay: spec.Rate / 10, Sustain: 0.2, Release: 512}
+	kick := kickTable(framesPerBeat, spec.Rate, root, kickEnv)
 
 	// Arpeggio pattern in semitones over the root, regenerated per track.
 	arp := make([]int, 8)
@@ -232,16 +238,33 @@ func GenerateTrack(spec TrackSpec) *Track {
 		for beat := 0; beat < 4; beat++ {
 			beatStart := barStart + beat*framesPerBeat
 			renderBeat(tr, spec, beatStart, framesPerBeat, level, loud,
-				bass, lead, kickEnv, bassEnv, leadEnv, arp, bar*4+beat, rng)
+				bass, lead, kick, bassEnv, leadEnv, arp, bar*4+beat, rng)
 		}
 	}
 	normalize(tr.Audio, 0.95)
 	return tr
 }
 
+// kickTable renders the kick drum of one beat: a pitch-swept sine tuned to
+// the track key so the kick reinforces the root. The kick depends only on
+// the frame's offset into the beat, so a track renders it once rather than
+// once per beat. The table ends where the envelope has fallen to zero for
+// good; it is zero wherever the envelope is.
+func kickTable(frames, rate int, root float64, env ADSR) []float64 {
+	gate := frames / 4
+	k := make([]float64, min(frames, max(env.Attack+env.Decay, gate+env.Release)))
+	for i := range k {
+		if lvl := env.Level(i, gate); lvl != 0 {
+			kt := float64(i) / float64(rate)
+			k[i] = math.Sin(2*math.Pi*(root+90*math.Exp(-kt*30))*kt) * lvl
+		}
+	}
+	return k
+}
+
 // renderBeat renders one beat of the arrangement in place.
 func renderBeat(tr *Track, spec TrackSpec, start, frames int, level float64,
-	loud bool, bass, lead *Osc, kickEnv, bassEnv, leadEnv ADSR,
+	loud bool, bass, lead *Osc, kickTab []float64, bassEnv, leadEnv ADSR,
 	arp []int, beatIndex int, rng *Rand) {
 
 	rate := spec.Rate
@@ -249,6 +272,12 @@ func renderBeat(tr *Track, spec TrackSpec, start, frames int, level float64,
 	root := 55.0 * math.Pow(2, float64(spec.Key)/12)
 	leadStep := arp[beatIndex%len(arp)]
 	lead.SetFreq(root*4*math.Pow(2, float64(leadStep)/12), rate)
+	// The kick stays in quiet bars too, as a faint pulse, so beat
+	// tracking stays possible.
+	kAmp := 0.9 * level
+	if !loud {
+		kAmp = 0.25
+	}
 
 	for i := 0; i < frames; i++ {
 		idx := start + i
@@ -257,17 +286,10 @@ func renderBeat(tr *Track, spec TrackSpec, start, frames int, level float64,
 		}
 		var l, r float64
 
-		// Kick: pitch-swept sine on the beat, always present (even quiet
-		// bars keep a faint pulse so beat tracking stays possible). The
-		// sweep is tuned to the track key so the kick reinforces the root.
-		kt := float64(i) / float64(rate)
-		kick := math.Sin(2*math.Pi*(root+90*math.Exp(-kt*30))*kt) * kickEnv.Level(i, frames/4)
-		kAmp := 0.9 * level
-		if !loud {
-			kAmp = 0.25
+		if i < len(kickTab) {
+			l += kickTab[i] * kAmp
+			r += kickTab[i] * kAmp
 		}
-		l += kick * kAmp
-		r += kick * kAmp
 
 		if loud {
 			// Off-beat bass stab.
@@ -314,25 +336,64 @@ func normalize(s audio.Stereo, target float64) {
 	s.Scale(target / p)
 }
 
-// StandardDeckTracks renders the four-deck test set used by the evaluation:
-// four distinct tracks (different keys, seeds and tempi near 126 BPM), the
-// "realistic input data (four decks with different audio tracks)" of the
-// paper's conclusion.
-func StandardDeckTracks(bars int) [4]*Track {
+// StandardDeckSpecs returns the specs of the four-deck test set used by the
+// evaluation: four distinct tracks (different keys, seeds and tempi near
+// 126 BPM), the "realistic input data (four decks with different audio
+// tracks)" of the paper's conclusion. bars <= 0 selects 16 bars.
+func StandardDeckSpecs(bars int) [4]TrackSpec {
 	if bars <= 0 {
 		bars = 16
 	}
-	specs := [4]TrackSpec{
+	return [4]TrackSpec{
 		{Name: "deck-a", BPM: 126, Bars: bars, Seed: 0xA11CE, Key: 0},
 		{Name: "deck-b", BPM: 128, Bars: bars, Seed: 0xB0B42, Key: 5},
 		{Name: "deck-c", BPM: 124, Bars: bars, Seed: 0xC4A7, Key: -4},
 		{Name: "deck-d", BPM: 127, Bars: bars, Seed: 0xD06E, Key: 7},
 	}
-	var out [4]*Track
-	for i, s := range specs {
-		out[i] = GenerateTrack(s)
+}
+
+// deckSet is one rendered four-deck set; once guards its rendering.
+type deckSet struct {
+	once   sync.Once
+	tracks [4]*Track
+}
+
+// deckSets caches the standard deck tracks by bar count for the life of
+// the process (about 5.4 MB per bar for the four tracks).
+var (
+	deckSetsMu sync.Mutex
+	deckSets   = map[int]*deckSet{}
+)
+
+// StandardDeckTracks returns the four tracks of StandardDeckSpecs(bars).
+// Each distinct bar count is rendered once per process, its four tracks
+// concurrently, and every caller gets the same Tracks: they are shared
+// read-only and must never be written.
+func StandardDeckTracks(bars int) [4]*Track {
+	specs := StandardDeckSpecs(bars)
+	bars = specs[0].Bars
+	deckSetsMu.Lock()
+	set := deckSets[bars]
+	if set == nil {
+		set = new(deckSet)
+		deckSets[bars] = set
 	}
-	return out
+	deckSetsMu.Unlock()
+
+	set.once.Do(func() {
+		// Each track has its own seed, PRNG and oscillators, so the
+		// render order cannot change the audio.
+		var wg sync.WaitGroup
+		for i := range specs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				set.tracks[i] = GenerateTrack(specs[i])
+			}(i)
+		}
+		wg.Wait()
+	})
+	return set.tracks
 }
 
 // Sine renders a pure sine test buffer (useful in DSP unit tests).
