@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -27,6 +26,7 @@ import (
 	"runtime/pprof"
 	"syscall"
 
+	"djstar/internal/apiv1"
 	"djstar/internal/exp"
 )
 
@@ -78,13 +78,13 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
+		srv, err := apiv1.Serve(*httpAddr, http.DefaultServeMux)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "djbench: -http %s: %v\n", *httpAddr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("djbench: pprof at http://%s/debug/pprof/\n", ln.Addr())
-		go func() { _ = http.Serve(ln, nil) }()
+		defer srv.Close()
+		fmt.Printf("djbench: pprof at http://%s/debug/pprof/\n", srv.Addr())
 	}
 
 	opts := exp.Options{

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"djstar/internal/admission"
+	"djstar/internal/apiv1"
 	"djstar/internal/audio"
 	"djstar/internal/engine"
 	"djstar/internal/exp"
@@ -56,8 +57,7 @@ func main() {
 		loadSet  = flag.String("settings", "", "load mixer/deck settings from this JSON file")
 		saveSet  = flag.String("save-settings", "", "save the final settings to this JSON file")
 		traceOut = flag.String("trace", "", "write sampled schedule realizations to this file as Chrome trace JSON (load in chrome://tracing or ui.perfetto.dev)")
-		httpAddr = flag.String("http", "", `serve live observability on this address (e.g. ":6060"): /debug/pprof/, /api/snapshot, /api/critpath, /api/trace, /metrics, /api/slo`)
-		metrics  = flag.String("metrics", "", `serve just the telemetry endpoint on this address (e.g. ":9090"): /metrics (OpenMetrics), /api/slo`)
+		httpAddr = flag.String("http", "", `serve live observability for every session on this address (e.g. ":6060"): /debug/pprof/, /v1/sessions[/{id}[/snapshot|critpath|trace|slo]], /metrics`)
 		incDir   = flag.String("incident-dir", "", "write flight-recorder incident bundles to this directory (replay with djanalyze -incident)")
 		fuse     = flag.Bool("fuse", false, "compile the execution plan with cost-guided chain fusion (DESIGN.md §13)")
 		script   = flag.String("script", "", `timed live graph edits: a file of "@<cycle> <patch>" lines, e.g. "@500 insert-delay:A:2" (see DESIGN.md §14)`)
@@ -150,31 +150,17 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		srv, err := engine.StartDebugServer(*httpAddr, e)
+		engines := []*engine.Engine{e}
+		if multi != nil {
+			engines = multi.Engines()
+		}
+		srv, err := apiv1.Serve(*httpAddr, engine.Handler(engines...))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "djstar: -http: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("live observability on http://%s (pprof, /api/snapshot, /api/critpath, /api/trace, /metrics, /api/slo)\n", srv.Addr())
-	}
-
-	if *metrics != "" {
-		// The standalone telemetry endpoint covers every session under
-		// -sessions; the debug server above stays per-engine.
-		var reg *telemetry.Registry
-		if multi != nil {
-			reg = multi.TelemetryRegistry()
-		} else {
-			reg = telemetry.NewRegistry(e.Telemetry())
-		}
-		msrv, err := reg.Serve(*metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "djstar: -metrics: %v\n", err)
-			os.Exit(1)
-		}
-		defer msrv.Close()
-		fmt.Printf("telemetry on http://%s/metrics (OpenMetrics) and /api/slo\n", msrv.Addr())
+		fmt.Printf("live observability on http://%s (pprof, /v1/sessions, /metrics)\n", srv.Addr())
 	}
 
 	if *loadSet != "" {

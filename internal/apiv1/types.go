@@ -1,16 +1,21 @@
 // Package apiv1 defines the wire types of the versioned /v1 HTTP/JSON
-// control plane, shared by the single-engine debug server (djstar
-// -http) and the fleet control plane (djserve). Sessions are resources
-// addressable by their stable ID; admission verdicts travel in the
-// create response; shards expose per-shard SLO rollups.
+// control plane, shared by the engine handler (djstar -http) and the
+// fleet control plane (djserve), plus the one JSON writer and listener
+// both serve through. Sessions are resources addressable by their
+// stable ID; admission verdicts travel in the create response; shards
+// expose per-shard SLO rollups.
 //
 // Versioning policy (DESIGN.md §16): additive changes (new fields, new
 // endpoints) stay within /v1; a field removal or meaning change mints
-// /v2 alongside /v1 for one deprecation cycle. The legacy flat /api/*
-// endpoints are shims over /v1 and answer with a Deprecation header.
+// /v2 alongside /v1 for one deprecation cycle.
 package apiv1
 
 import (
+	"encoding/json"
+	"net"
+	"net/http"
+	"time"
+
 	"djstar/internal/admission"
 	"djstar/internal/telemetry"
 )
@@ -53,8 +58,8 @@ type SessionList struct {
 	Sessions []Session `json:"sessions"`
 }
 
-// CreateSessionRequest is POST /v1/sessions (fleet only — the
-// single-engine server's session set is fixed at boot).
+// CreateSessionRequest is POST /v1/sessions (fleet only — djstar's
+// session set is fixed at boot).
 type CreateSessionRequest struct {
 	// ID requests a specific session ID (must be unused); empty lets the
 	// fleet assign one.
@@ -179,3 +184,39 @@ type DrainResponse struct {
 	Failed int      `json:"failed"`
 	Errors []string `json:"errors,omitempty"`
 }
+
+// WriteJSON writes v as indented JSON with the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// Server is a running HTTP listener.
+type Server struct {
+	srv *http.Server
+	ln  net.Listener
+}
+
+// Serve starts serving h on addr (e.g. ":6060"; ":0" picks a free port,
+// see Addr) until Close.
+func Serve(addr string, h http.Handler) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{
+		srv: &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second},
+		ln:  ln,
+	}
+	go func() { _ = s.srv.Serve(ln) }()
+	return s, nil
+}
+
+// Addr returns the bound listen address.
+func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// Close shuts the server down.
+func (s *Server) Close() error { return s.srv.Close() }

@@ -3,51 +3,28 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"djstar/internal/apiv1"
 	"djstar/internal/obs"
 	"djstar/internal/telemetry"
 )
 
-// DebugServer is the optional live-observability HTTP endpoint
-// (djstar/djbench -http): net/http/pprof under /debug/pprof/, plus the
-// versioned /v1 resource API over the engine's one session. It reads
-// engine state through Snapshot/Collector only, so serving never
-// touches the audio path.
-type DebugServer struct {
-	srv *http.Server
-	ln  net.Listener
-}
-
-// StartDebugServer listens on addr (e.g. ":6060") and serves:
+// Handler serves the given engines over HTTP (djstar -http):
 //
-//	/debug/pprof/                – the standard pprof index and profiles
-//	GET  /v1/sessions            – list (always exactly one session here)
+//	/debug/pprof/                    – the standard pprof index and profiles
+//	GET  /v1/sessions                – list every engine's session
 //	GET  /v1/sessions/{id}           – session summary
-//	GET  /v1/sessions/{id}/snapshot  – full engine.Snapshot JSON (versioned)
-//	GET  /v1/sessions/{id}/critpath  – measured critical path JSON
-//	GET  /v1/sessions/{id}/trace     – sampled cycles as Chrome trace JSON
-//	GET  /v1/sessions/{id}/slo       – deadline-miss budget status JSON
-//	POST /v1/sessions/{id}/edits     – stage a live graph edit {"patch":...}
-//	POST /v1/sessions/{id}/retune    – live knobs {"load_factor":...}
-//	/metrics                     – telemetry in OpenMetrics text format
+//	/v1/sessions/{id}/...            – the per-session routes (SessionRoutes)
+//	GET  /metrics                    – telemetry of every session in
+//	                                   OpenMetrics text format
 //
-// {id} must be the engine's session ID (GET /v1/sessions to discover
-// it); anything else is 404 — the path names a resource, and this
-// server hosts exactly one.
-//
-// Deprecated flat aliases remain for one release and answer with a
-// "Deprecation: true" header plus a successor Link: /api/snapshot,
-// /api/critpath, /api/trace, /api/admission, /api/edit, /api/slo.
-func StartDebugServer(addr string, e *Engine) (*DebugServer, error) {
-	if e == nil {
-		return nil, fmt.Errorf("engine: debug server needs an engine")
-	}
+// {id} is an engine's SessionID (GET /v1/sessions to discover them);
+// anything else is 404. Handlers read engine state through
+// Snapshot/Collector only, so serving never touches the audio path.
+func Handler(engines ...*Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -55,108 +32,129 @@ func StartDebugServer(addr string, e *Engine) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	// checkID 404s requests addressing a session this server does not
-	// host. Returns false after writing the error.
-	checkID := func(w http.ResponseWriter, r *http.Request) bool {
-		if id := r.PathValue("id"); id != e.SessionID() {
-			writeJSONStatus(w, http.StatusNotFound,
-				apiv1.Error{Error: fmt.Sprintf("no session %q (this server hosts session %q)", id, e.SessionID())})
-			return false
+	lookup := func(id string) *Engine {
+		for _, e := range engines {
+			if e.SessionID() == id {
+				return e
+			}
 		}
-		return true
+		return nil
 	}
-
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, apiv1.SessionList{Sessions: []apiv1.Session{V1Session(e)}})
-	})
-	mux.HandleFunc("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if checkID(w, r) {
-			writeJSON(w, V1Session(e))
+		list := apiv1.SessionList{Sessions: []apiv1.Session{}}
+		for _, e := range engines {
+			list.Sessions = append(list.Sessions, V1Session(e))
 		}
+		apiv1.WriteJSON(w, http.StatusOK, list)
 	})
-	handleSnapshot := func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, e.Snapshot())
+	mux.HandleFunc("GET /v1/sessions/{id}", withEngine(lookup, func(w http.ResponseWriter, _ *http.Request, e *Engine) {
+		apiv1.WriteJSON(w, http.StatusOK, V1Session(e))
+	}))
+	SessionRoutes(mux, lookup)
+
+	reg := telemetry.NewRegistry()
+	for _, e := range engines {
+		reg.Add(e.Telemetry())
 	}
-	handleCritpath := func(w http.ResponseWriter, _ *http.Request) {
-		ps, ok := e.CriticalPath()
-		if !ok {
-			writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "no observability data yet"})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		if len(reg.Collectors()) == 0 {
+			apiv1.WriteJSON(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
 			return
 		}
-		writeJSON(w, ps)
+		reg.Handler().ServeHTTP(w, r)
+	})
+	return mux
+}
+
+// SessionRoutes registers the per-session /v1 routes on mux, shared by
+// Handler and the fleet control plane:
+//
+//	GET  /v1/sessions/{id}/snapshot  – full engine.Snapshot JSON (versioned)
+//	GET  /v1/sessions/{id}/critpath  – measured critical path JSON
+//	GET  /v1/sessions/{id}/trace     – sampled cycles as Chrome trace JSON
+//	GET  /v1/sessions/{id}/slo       – deadline-miss budget status JSON
+//	POST /v1/sessions/{id}/edits     – stage a live graph edit {"patch":...}
+//	POST /v1/sessions/{id}/retune    – live knobs {"load_factor":...}
+//
+// lookup resolves {id}; a nil result answers 404.
+func SessionRoutes(mux *http.ServeMux, lookup func(id string) *Engine) {
+	route := func(pattern string, h func(http.ResponseWriter, *http.Request, *Engine)) {
+		mux.HandleFunc(pattern, withEngine(lookup, h))
 	}
-	handleTrace := func(w http.ResponseWriter, _ *http.Request) {
+	route("GET /v1/sessions/{id}/snapshot", func(w http.ResponseWriter, _ *http.Request, e *Engine) {
+		apiv1.WriteJSON(w, http.StatusOK, e.Snapshot())
+	})
+	route("GET /v1/sessions/{id}/critpath", func(w http.ResponseWriter, _ *http.Request, e *Engine) {
+		ps, ok := e.CriticalPath()
+		if !ok {
+			apiv1.WriteJSON(w, http.StatusServiceUnavailable, apiv1.Error{Error: "no observability data yet"})
+			return
+		}
+		apiv1.WriteJSON(w, http.StatusOK, ps)
+	})
+	route("GET /v1/sessions/{id}/trace", func(w http.ResponseWriter, _ *http.Request, e *Engine) {
 		// One topology load keeps the plan and collector from one epoch.
 		t := e.topo.Load()
 		if t.col == nil {
-			writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "observability disabled"})
+			apiv1.WriteJSON(w, http.StatusServiceUnavailable, apiv1.Error{Error: "observability disabled"})
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = obs.WriteChromeTrace(w, t.plan, t.col.Traces())
-	}
-	handleEdit := func(w http.ResponseWriter, r *http.Request) {
+	})
+	route("GET /v1/sessions/{id}/slo", func(w http.ResponseWriter, _ *http.Request, e *Engine) {
+		tel := e.Telemetry()
+		if tel == nil {
+			apiv1.WriteJSON(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
+			return
+		}
+		apiv1.WriteJSON(w, http.StatusOK, tel.SLO())
+	})
+	route("POST /v1/sessions/{id}/edits", func(w http.ResponseWriter, r *http.Request, e *Engine) {
 		var req apiv1.EditRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Patch == "" {
-			writeJSONStatus(w, http.StatusBadRequest, apiv1.Error{Error: `body must be {"patch":"<spec>"}`})
+			apiv1.WriteJSON(w, http.StatusBadRequest, apiv1.Error{Error: `body must be {"patch":"<spec>"}`})
 			return
 		}
 		if err := e.ApplyPatch(req.Patch); err != nil {
-			writeJSONStatus(w, http.StatusUnprocessableEntity,
-				apiv1.EditResponse{Epoch: e.PlanEpoch(), Error: err.Error()})
+			apiv1.WriteJSON(w, http.StatusUnprocessableEntity, apiv1.EditResponse{Epoch: e.PlanEpoch(), Error: err.Error()})
 			return
 		}
 		// The edit is staged; adoption happens at the next cycle boundary
 		// (watch plan_epoch in the snapshot).
-		writeJSON(w, apiv1.EditResponse{OK: true, Staged: true, Epoch: e.PlanEpoch()})
-	}
-	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", guard(checkID, handleSnapshot))
-	mux.HandleFunc("GET /v1/sessions/{id}/critpath", guard(checkID, handleCritpath))
-	mux.HandleFunc("GET /v1/sessions/{id}/trace", guard(checkID, handleTrace))
-	mux.HandleFunc("POST /v1/sessions/{id}/edits", guard(checkID, handleEdit))
-	mux.HandleFunc("POST /v1/sessions/{id}/retune", guard(checkID, func(w http.ResponseWriter, r *http.Request) {
-		RetuneHandler(e, w, r)
-	}))
-
-	handleSLO := func(w http.ResponseWriter, _ *http.Request) {
-		writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "telemetry disabled"})
-	}
-	if tel := e.Telemetry(); tel != nil {
-		reg := telemetry.NewRegistry(tel)
-		mux.Handle("/metrics", reg.Handler())
-		h := reg.Handler()
-		handleSLO = func(w http.ResponseWriter, r *http.Request) { h.ServeHTTP(w, r) }
-	} else {
-		mux.HandleFunc("/metrics", handleSLO)
-	}
-	mux.HandleFunc("GET /v1/sessions/{id}/slo", guard(checkID, handleSLO))
-
-	// Legacy flat endpoints: thin shims over the /v1 handlers, kept for
-	// one deprecation cycle so existing scripts/dashboards keep working.
-	mux.HandleFunc("GET /api/snapshot", deprecated("/v1/sessions/{id}/snapshot", handleSnapshot))
-	mux.HandleFunc("GET /api/critpath", deprecated("/v1/sessions/{id}/critpath", handleCritpath))
-	mux.HandleFunc("GET /api/trace", deprecated("/v1/sessions/{id}/trace", handleTrace))
-	mux.HandleFunc("GET /api/admission", deprecated("/v1/sessions/{id}/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		st := e.AdmissionState()
-		if st == nil {
-			writeJSONStatus(w, http.StatusServiceUnavailable, apiv1.Error{Error: "admission gate disabled"})
+		apiv1.WriteJSON(w, http.StatusOK, apiv1.EditResponse{OK: true, Staged: true, Epoch: e.PlanEpoch()})
+	})
+	route("POST /v1/sessions/{id}/retune", func(w http.ResponseWriter, r *http.Request, e *Engine) {
+		var req apiv1.RetuneRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			apiv1.WriteJSON(w, http.StatusBadRequest, apiv1.Error{Error: "malformed retune body: " + err.Error()})
 			return
 		}
-		writeJSON(w, st)
-	}))
-	mux.HandleFunc("POST /api/edit", deprecated("/v1/sessions/{id}/edits", handleEdit))
-	mux.HandleFunc("GET /api/slo", deprecated("/v1/sessions/{id}/slo", handleSLO))
+		if req.LoadFactor != nil {
+			if *req.LoadFactor <= 0 {
+				apiv1.WriteJSON(w, http.StatusUnprocessableEntity, apiv1.Error{Error: "load_factor must be > 0"})
+				return
+			}
+			e.SetLoadFactor(*req.LoadFactor)
+		}
+		for d, speed := range req.TurntableSpeed {
+			e.SetTurntableSpeed(d, speed)
+		}
+		apiv1.WriteJSON(w, http.StatusOK, apiv1.RetuneResponse{OK: true, LoadFactor: e.LoadFactor()})
+	})
+}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+// withEngine resolves the {id} path value through lookup and 404s
+// unknown sessions.
+func withEngine(lookup func(string) *Engine, h func(http.ResponseWriter, *http.Request, *Engine)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e := lookup(r.PathValue("id"))
+		if e == nil {
+			apiv1.WriteJSON(w, http.StatusNotFound, apiv1.Error{Error: fmt.Sprintf("no session %q", r.PathValue("id"))})
+			return
+		}
+		h(w, r, e)
 	}
-	d := &DebugServer{
-		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		ln:  ln,
-	}
-	go func() { _ = d.srv.Serve(ln) }()
-	return d, nil
 }
 
 // V1Session assembles the /v1 session summary for one engine. Fleet
@@ -186,65 +184,4 @@ func V1Session(e *Engine) apiv1.Session {
 		}
 	}
 	return s
-}
-
-// RetuneHandler applies a /v1 retune request to one engine — shared by
-// the single-engine debug server and the fleet control plane.
-func RetuneHandler(e *Engine, w http.ResponseWriter, r *http.Request) {
-	var req apiv1.RetuneRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, apiv1.Error{Error: "malformed retune body: " + err.Error()})
-		return
-	}
-	if req.LoadFactor != nil {
-		if *req.LoadFactor <= 0 {
-			writeJSONStatus(w, http.StatusUnprocessableEntity, apiv1.Error{Error: "load_factor must be > 0"})
-			return
-		}
-		e.SetLoadFactor(*req.LoadFactor)
-	}
-	for d, speed := range req.TurntableSpeed {
-		e.SetTurntableSpeed(d, speed)
-	}
-	writeJSON(w, apiv1.RetuneResponse{OK: true, LoadFactor: e.LoadFactor()})
-}
-
-// guard chains the {id} check in front of a handler.
-func guard(check func(http.ResponseWriter, *http.Request) bool, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if check(w, r) {
-			h(w, r)
-		}
-	}
-}
-
-// deprecated marks a legacy endpoint per RFC 9745 (Deprecation header)
-// with a Link to its /v1 successor, then serves the same data.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
-
-// Close shuts the server down.
-func (d *DebugServer) Close() error { return d.srv.Close() }
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

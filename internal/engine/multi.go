@@ -6,7 +6,6 @@ import (
 
 	"djstar/internal/admission"
 	"djstar/internal/sched"
-	"djstar/internal/telemetry"
 )
 
 // MultiEngine owns N engines attached as sessions to one shared
@@ -125,17 +124,6 @@ func (m *MultiEngine) Controller() *admission.Controller { return m.ctl }
 // Engines exposes the per-session engines (e.g. for live control of one
 // session while others keep running).
 func (m *MultiEngine) Engines() []*Engine { return m.engines }
-
-// TelemetryRegistry assembles a registry over every session's telemetry
-// collector, for one /metrics endpoint covering the whole pool. Sessions
-// with telemetry disabled are skipped.
-func (m *MultiEngine) TelemetryRegistry() *telemetry.Registry {
-	r := telemetry.NewRegistry()
-	for _, e := range m.engines {
-		r.Add(e.Telemetry())
-	}
-	return r
-}
 
 // RunCyclesConcurrent executes n audio processing cycles on every
 // session concurrently — one driving goroutine per session, all sharing

@@ -17,15 +17,9 @@ type SessionSpec struct {
 	// IDs stay stable across shard migration. Empty = the container
 	// assigns a monotonic ID.
 	ID string
-	// Strategy and Threads override the base scheduling strategy —
-	// ignored by pool-attached containers, where the pool's parallelism
-	// rules.
-	Strategy string
-	Threads  int
-	// Fuse enables cost-guided chain fusion for this session, with
-	// FuseOpts tuning the pass (zero = defaults).
-	Fuse     bool
-	FuseOpts graph.FuseOptions
+	// Fuse enables cost-guided chain fusion for this session, tuned by
+	// the base config's Fuse options.
+	Fuse bool
 	// AdmissionMargin overrides the admission gate's safety margin
 	// (margin × (base + graph bound) ≤ period); 0 keeps the base
 	// config's margin.
@@ -46,15 +40,8 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	if sp.Graph != nil {
 		c.Graph = *sp.Graph
 	}
-	if sp.Strategy != "" {
-		c.Strategy = sp.Strategy
-	}
-	if sp.Threads > 0 {
-		c.Threads = sp.Threads
-	}
 	if sp.Fuse {
 		c.FusePlan = true
-		c.Fuse = sp.FuseOpts
 	}
 	if sp.AdmissionMargin > 0 {
 		c.Admission.Config.Margin = sp.AdmissionMargin
@@ -64,12 +51,6 @@ func (sp SessionSpec) Resolve(base Config) Config {
 	}
 	c.Hooks = mergeHooks(base.Hooks, sp.Hooks)
 	return c
-}
-
-// NewSession builds an engine from a base Config and a per-session
-// spec — New(sp.Resolve(base)).
-func NewSession(base Config, sp SessionSpec) (*Engine, error) {
-	return New(sp.Resolve(base))
 }
 
 // mergeHooks overlays per-session hooks on container defaults: each

@@ -2,12 +2,8 @@ package engine
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"testing"
 
-	"djstar/internal/obs"
 	"djstar/internal/sched"
 )
 
@@ -96,68 +92,5 @@ func TestSnapshotObsDisabled(t *testing.T) {
 	}
 	if _, ok := e.CriticalPath(); ok {
 		t.Fatal("CriticalPath ok with collector disabled")
-	}
-}
-
-func TestDebugServerEndpoints(t *testing.T) {
-	e, err := New(fastConfig(sched.NameBusyWait, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < 64; i++ {
-		e.Cycle(nil)
-	}
-
-	srv, err := StartDebugServer("127.0.0.1:0", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr(), path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-
-	var snap Snapshot
-	if err := json.Unmarshal(get("/api/snapshot"), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.SchemaVersion != SnapshotSchemaVersion || snap.Cycles != 64 {
-		t.Fatalf("snapshot over HTTP: %+v", snap)
-	}
-
-	var ps obs.PathStat
-	if err := json.Unmarshal(get("/api/critpath"), &ps); err != nil {
-		t.Fatal(err)
-	}
-	if ps.LengthUS <= 0 || len(ps.Nodes) == 0 {
-		t.Fatalf("critpath over HTTP: %+v", ps)
-	}
-
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(get("/api/trace"), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace endpoint returned no events (64 cycles at default sampling should produce 2 samples)")
-	}
-
-	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
-		t.Fatal("pprof endpoint empty")
 	}
 }

@@ -3,11 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"djstar/internal/faults"
@@ -154,76 +151,6 @@ func TestEngineIncidentGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("incident bundle drifted from golden file (run with -update if intentional)\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestEngineMetricsEndpoint(t *testing.T) {
-	e, err := New(fastConfig(sched.NameBusyWait, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.RunCycles(20)
-	srv, err := StartDebugServer("127.0.0.1:0", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp.StatusCode)
-	}
-	text := string(body)
-	for _, want := range []string{
-		`djstar_cycles_total{strategy="busy",session="0"} 20`,
-		"djstar_apc_seconds_bucket",
-		"# EOF",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, text)
-		}
-	}
-
-	resp, err = http.Get("http://" + srv.Addr() + "/api/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"target_per_10k"`) {
-		t.Fatalf("/api/slo status %d body %s", resp.StatusCode, body)
-	}
-}
-
-func TestEngineMetricsEndpointDisabledTelemetry(t *testing.T) {
-	cfg := fastConfig(sched.NameSequential, 1)
-	cfg.Telemetry.Disable = true
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.Telemetry() != nil {
-		t.Fatal("Telemetry() non-nil with Disable set")
-	}
-	srv, err := StartDebugServer("127.0.0.1:0", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/metrics with telemetry disabled: status = %d, want 503", resp.StatusCode)
 	}
 }
 

@@ -364,7 +364,6 @@ func (f *Fleet) AddSession(spec engine.SessionSpec) (*Session, apiv1.Placement, 
 		ctl:     make(chan func()),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		m:       eng.NewMetrics(),
 	}
 	s.setHeadroom(placement.HeadroomUS)
 	s.shard.Store(int32(sh.id))

@@ -12,6 +12,7 @@ import (
 
 	"djstar/internal/apiv1"
 	"djstar/internal/engine"
+	"djstar/internal/telemetry"
 )
 
 // TestControlPlane drives a two-shard fleet through the full /v1
@@ -142,4 +143,53 @@ func TestControlPlane(t *testing.T) {
 	do("DELETE", "/v1/sessions/"+created.Session.ID, nil, http.StatusNoContent, nil)
 	do("GET", "/v1/sessions/"+created.Session.ID, nil, http.StatusNotFound, nil)
 	do("GET", "/v1/shards/9", nil, http.StatusNotFound, nil)
+}
+
+// TestSessionObservabilityRoutes checks the fleet serves the shared
+// per-session observability routes: slo (the paper's 5-per-10k budget),
+// trace and critpath, with 404 for an unknown session.
+func TestSessionObservabilityRoutes(t *testing.T) {
+	f, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, _, err := f.AddSession(engine.SessionSpec{ID: "obs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+
+	code, raw := get("/v1/sessions/obs/slo")
+	var slo telemetry.SLOStatus
+	if code != http.StatusOK {
+		t.Fatalf("GET slo = %d: %s", code, raw)
+	}
+	if err := json.Unmarshal(raw, &slo); err != nil {
+		t.Fatal(err)
+	}
+	if slo.TargetPer10k != 5 {
+		t.Fatalf("session %s SLO target %v, want 5", s.ID(), slo.TargetPer10k)
+	}
+	if code, raw := get("/v1/sessions/obs/trace"); code != http.StatusOK {
+		t.Fatalf("GET trace = %d: %s", code, raw)
+	}
+	// The critical path is 503 until the first sampled cycle lands.
+	if code, raw := get("/v1/sessions/obs/critpath"); code != http.StatusOK && code != http.StatusServiceUnavailable {
+		t.Fatalf("GET critpath = %d: %s", code, raw)
+	}
+	if code, _ := get("/v1/sessions/nope/slo"); code != http.StatusNotFound {
+		t.Fatalf("GET slo of unknown session = %d, want 404", code)
+	}
 }

@@ -2,14 +2,11 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // OpenMetrics / Prometheus text exposition for a set of collectors. The
@@ -181,56 +178,10 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Handler serves the registry: /metrics (exposition text) and /api/slo
-// (per-collector SLOStatus JSON).
+// Handler serves the exposition text (mount it at /metrics).
 func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteOpenMetrics(w)
 	})
-	mux.HandleFunc("/api/slo", func(w http.ResponseWriter, _ *http.Request) {
-		type entry struct {
-			Strategy string    `json:"strategy"`
-			Session  string    `json:"session"`
-			Shard    string    `json:"shard,omitempty"`
-			SLO      SLOStatus `json:"slo"`
-		}
-		var out []entry
-		for _, c := range r.Collectors() {
-			out = append(out, entry{c.cfg.Strategy, c.cfg.Session, c.Shard(), c.SLO()})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
-	})
-	return mux
 }
-
-// Server is a standalone metrics endpoint (djstar -metrics): just the
-// registry handler, no pprof, no engine coupling.
-type Server struct {
-	srv *http.Server
-	ln  net.Listener
-}
-
-// Serve listens on addr and serves the registry until Close.
-func (r *Registry) Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{
-		srv: &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second},
-		ln:  ln,
-	}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down.
-func (s *Server) Close() error { return s.srv.Close() }

@@ -3,9 +3,9 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -239,13 +239,10 @@ func TestRegistryHTTPEndpoints(t *testing.T) {
 	c := NewCollector(Config{Strategy: "busy"})
 	c.RecordCycle(10, 1_000_000, 500_000, false, 0)
 	reg := NewRegistry(c)
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
+	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr()))
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -258,17 +255,4 @@ func TestRegistryHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
 	lintExposition(t, string(body))
-
-	resp, err = http.Get(fmt.Sprintf("http://%s/api/slo", srv.Addr()))
-	if err != nil {
-		t.Fatalf("GET /api/slo: %v", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/slo status = %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), `"target_per_10k": 5`) {
-		t.Fatalf("/api/slo body missing SLO status: %s", body)
-	}
 }
